@@ -7,20 +7,10 @@ namespace tmu::sim {
 
 namespace {
 
-constexpr const char *kKindNames[kNumFaultKinds] = {
-    "mem-lat",    "drop-pf",    "outq-stall",
-    "outq-corrupt", "fill-delay", "task-fail",
-};
-
-/**
- * Sites whose effect is latency-only and can never corrupt state.
- * OutqCorrupt must be detected by the chunk checksum; TaskFail must be
- * detected (and absorbed) by the JobSupervisor's retry machinery.
- */
-bool
-timingOnly(FaultKind k)
+std::size_t
+slot(FaultKind k)
 {
-    return k != FaultKind::OutqCorrupt && k != FaultKind::TaskFail;
+    return static_cast<std::size_t>(k);
 }
 
 Expected<double>
@@ -60,7 +50,17 @@ parseCycles(const std::string &tok)
 const char *
 faultKindName(FaultKind k)
 {
-    return kKindNames[static_cast<std::size_t>(k)];
+    switch (k) {
+    case FaultKind::MemLatencySpike:
+        return "mem-lat";
+    case FaultKind::DropPrefetch:
+        return "drop-pf";
+    case FaultKind::OutqStall:
+        return "outq-stall";
+    case FaultKind::FillDelay:
+        return "fill-delay";
+    }
+    return "unknown";
 }
 
 bool
@@ -94,26 +94,23 @@ FaultSpec::parse(const std::string &text)
                            item.c_str());
         }
         const std::string name = item.substr(0, eq);
-        int kind = -1;
-        for (int k = 0; k < kNumFaultKinds; ++k) {
-            if (name == kKindNames[k])
-                kind = k;
+        const FaultKind *kind = nullptr;
+        for (const FaultKind &k : kFaultKinds) {
+            if (name == faultKindName(k))
+                kind = &k;
         }
-        if (kind < 0) {
+        if (kind == nullptr) {
             std::string known;
-            for (int k = 0; k < kNumFaultKinds; ++k) {
-                known += kKindNames[k];
-                if (k + 1 < kNumFaultKinds)
-                    known += ", ";
-            }
+            for (const FaultKind k : kFaultKinds)
+                known += (known.empty() ? "" : ", ") +
+                         std::string(faultKindName(k));
             return TMU_ERR(Errc::UnknownName,
                            "unknown fault site '%s' (known: %s)",
                            name.c_str(), known.c_str());
         }
 
         std::string probTok = item.substr(eq + 1);
-        FaultSiteSpec &site =
-            spec.sites[static_cast<std::size_t>(kind)];
+        FaultSiteSpec &site = spec.site(*kind);
         if (const std::size_t colon = probTok.find(':');
             colon != std::string::npos) {
             auto cycles = parseCycles(probTok.substr(colon + 1));
@@ -138,13 +135,13 @@ std::string
 FaultSpec::describe() const
 {
     std::string out;
-    for (int k = 0; k < kNumFaultKinds; ++k) {
-        const FaultSiteSpec &s = sites[static_cast<std::size_t>(k)];
+    for (const FaultKind k : kFaultKinds) {
+        const FaultSiteSpec &s = site(k);
         if (s.probability <= 0.0)
             continue;
         if (!out.empty())
             out += ",";
-        out += detail::format("%s=%g", kKindNames[k], s.probability);
+        out += detail::format("%s=%g", faultKindName(k), s.probability);
         if (s.extraCycles > 0) {
             out += detail::format(
                 ":%llu", static_cast<unsigned long long>(s.extraCycles));
@@ -154,21 +151,20 @@ FaultSpec::describe() const
 }
 
 FaultInjector::FaultInjector(std::uint64_t seed, const FaultSpec &spec)
-    : seed_(seed), spec_(spec), corruptRng_(seed ^ 0xDEADBEEFCAFEULL)
+    : seed_(seed), spec_(spec)
 {
     // One independent stream per site so the decision sequence of one
     // site does not depend on how often the others are consulted.
-    for (int k = 0; k < kNumFaultKinds; ++k) {
-        rngs_[static_cast<std::size_t>(k)].reseed(
-            seed ^ (0x9e3779b97f4a7c15ULL *
-                    static_cast<std::uint64_t>(k + 1)));
+    for (const FaultKind k : kFaultKinds) {
+        rngs_[slot(k)].reseed(
+            seed ^ (0x9e3779b97f4a7c15ULL * (slot(k) + 1)));
     }
 }
 
 bool
 FaultInjector::shouldInject(FaultKind k)
 {
-    const std::size_t i = static_cast<std::size_t>(k);
+    const std::size_t i = slot(k);
     const FaultSiteSpec &site = spec_.sites[i];
     if (site.probability <= 0.0 ||
         counts_[i].injected >= site.maxCount)
@@ -176,8 +172,6 @@ FaultInjector::shouldInject(FaultKind k)
     if (!rngs_[i].nextBool(site.probability))
         return false;
     ++counts_[i].injected;
-    if (timingOnly(k))
-        ++counts_[i].masked;
     return true;
 }
 
@@ -187,33 +181,18 @@ FaultInjector::extraCycles(FaultKind k) const
     return spec_.site(k).extraCycles;
 }
 
-std::uint64_t
-FaultInjector::corruptWord(std::uint64_t word)
-{
-    return word ^ (std::uint64_t{1} << corruptRng_.nextBounded(64));
-}
-
-void
-FaultInjector::recordDetected(FaultKind k)
-{
-    ++counts_[static_cast<std::size_t>(k)].detected;
-}
-
 const FaultCounts &
 FaultInjector::counts(FaultKind k) const
 {
-    return counts_[static_cast<std::size_t>(k)];
+    return counts_[slot(k)];
 }
 
 FaultCounts
 FaultInjector::totals() const
 {
     FaultCounts t;
-    for (const FaultCounts &c : counts_) {
+    for (const FaultCounts &c : counts_)
         t.injected += c.injected;
-        t.masked += c.masked;
-        t.detected += c.detected;
-    }
     return t;
 }
 
@@ -221,33 +200,16 @@ void
 FaultInjector::registerStats(stats::StatRegistry &reg,
                              const std::string &prefix) const
 {
-    for (int k = 0; k < kNumFaultKinds; ++k) {
-        const std::size_t i = static_cast<std::size_t>(k);
-        if (spec_.sites[i].probability <= 0.0)
+    for (const FaultKind k : kFaultKinds) {
+        if (spec_.site(k).probability <= 0.0)
             continue;
-        const std::string site = kKindNames[i];
+        const std::string site = faultKindName(k);
         reg.scalar(prefix + site + ".injected",
                    "faults injected at site " + site,
-                   &counts_[i].injected);
-        reg.scalar(prefix + site + ".masked",
-                   "timing-only faults absorbed at site " + site,
-                   &counts_[i].masked);
-        reg.scalar(prefix + site + ".detected",
-                   "corruptions detected at site " + site,
-                   &counts_[i].detected);
+                   &counts_[slot(k)].injected);
     }
     reg.scalarU64(prefix + "injected", "total faults injected",
                   [this] { return totals().injected; });
-    reg.scalarU64(prefix + "masked", "total faults masked",
-                  [this] { return totals().masked; });
-    reg.scalarU64(prefix + "detected", "total faults detected",
-                  [this] { return totals().detected; });
-    reg.scalarU64(prefix + "unaccounted",
-                  "injected faults neither masked nor detected",
-                  [this] {
-                      const FaultCounts t = totals();
-                      return t.injected - t.masked - t.detected;
-                  });
 }
 
 } // namespace tmu::sim

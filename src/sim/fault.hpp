@@ -8,28 +8,14 @@
  * exact same fault sequence run after run — a failure found under
  * injection is reproducible from its command line.
  *
- * Sites and their intended failure modes:
- *  - mem-lat:      extra latency on an accepted memory access
- *                  (timing-only; must be masked by the model);
- *  - drop-pf:      silently drop a prefetch candidate (timing-only);
- *  - outq-stall:   backpressure stall on outQ chunk consumption
- *                  (timing-only);
- *  - outq-corrupt: flip one bit of an outQ record payload word. The
- *                  engine's per-chunk checksum must *detect* this and
- *                  recover (modeled retransmit penalty), keeping the
- *                  computation correct;
- *  - fill-delay:   delay a TMU fill completion (timing-only);
- *  - task-fail:    spurious transient failure of a whole sweep task.
- *                  Rolled once per supervised attempt by the
- *                  JobSupervisor, never inside the simulation: the run
- *                  itself is untouched, but the attempt is reported
- *                  failed so retry/backoff/quarantine paths can be
- *                  exercised deterministically with no real crash.
+ * Sites (all timing-only: none can corrupt simulated state, so a run
+ * under injection must still verify against its reference kernel):
+ *  - mem-lat:    extra latency on an accepted memory access;
+ *  - drop-pf:    silently drop a prefetch candidate;
+ *  - outq-stall: backpressure stall on outQ chunk consumption;
+ *  - fill-delay: delay a TMU fill completion.
  *
- * Every injection is counted; timing-only faults are accounted masked
- * at injection (they cannot corrupt state), corruption faults must be
- * accounted detected by the checksum. A run is gracefully degraded iff
- * masked + detected == injected and the output still verifies.
+ * Every injection is counted per site and in total (faults.*).
  */
 
 #pragma once
@@ -45,16 +31,26 @@
 
 namespace tmu::sim {
 
-/** Injection site identifiers. */
+/**
+ * Injection site identifiers. The value also keys the site's RNG
+ * stream, so it is fixed per site: 3 belonged to a retired site and
+ * stays unused so that fill-delay replays the same decisions.
+ */
 enum class FaultKind : int {
     MemLatencySpike = 0, //!< extra cycles on a memory access
-    DropPrefetch,        //!< discard a prefetch candidate
-    OutqStall,           //!< stall outQ consumption
-    OutqCorrupt,         //!< flip a bit in an outQ payload word
-    FillDelay,           //!< delay a TMU fill completion
-    TaskFail,            //!< spurious transient sweep-task failure
+    DropPrefetch = 1,    //!< discard a prefetch candidate
+    OutqStall = 2,       //!< stall outQ consumption
+    FillDelay = 4,       //!< delay a TMU fill completion
 };
-inline constexpr int kNumFaultKinds = 6;
+
+/** Every site, in spec/stat order. */
+inline constexpr FaultKind kFaultKinds[] = {
+    FaultKind::MemLatencySpike, FaultKind::DropPrefetch,
+    FaultKind::OutqStall, FaultKind::FillDelay};
+
+/** Array extent for per-site tables indexed by FaultKind value. */
+inline constexpr std::size_t kFaultSlots =
+    static_cast<std::size_t>(FaultKind::FillDelay) + 1;
 
 /** Stable spec/stat name of a fault kind ("mem-lat"). */
 const char *faultKindName(FaultKind k);
@@ -70,7 +66,7 @@ struct FaultSiteSpec
 /** Whole-run fault plan. */
 struct FaultSpec
 {
-    std::array<FaultSiteSpec, kNumFaultKinds> sites;
+    std::array<FaultSiteSpec, kFaultSlots> sites;
 
     const FaultSiteSpec &
     site(FaultKind k) const
@@ -88,7 +84,7 @@ struct FaultSpec
 
     /**
      * Parse "site=prob[:cycles][,site=prob[:cycles]...]", e.g.
-     * "mem-lat=0.01:200,outq-corrupt=0.001". Unlisted sites stay off.
+     * "mem-lat=0.01:200,fill-delay=0.05:64". Unlisted sites stay off.
      */
     static Expected<FaultSpec> parse(const std::string &text);
 
@@ -100,8 +96,6 @@ struct FaultSpec
 struct FaultCounts
 {
     std::uint64_t injected = 0;
-    std::uint64_t masked = 0;   //!< timing-only, cannot corrupt state
-    std::uint64_t detected = 0; //!< caught by an integrity check
 };
 
 /** Seeded, deterministic fault source shared by one simulation. */
@@ -113,37 +107,20 @@ class FaultInjector
     const FaultSpec &spec() const { return spec_; }
     std::uint64_t seed() const { return seed_; }
 
-    /**
-     * Roll site @p k once; true if a fault fires now. Counts the
-     * injection; timing-only sites are immediately counted masked.
-     */
+    /** Roll site @p k once; true if a fault fires now (counted). */
     bool shouldInject(FaultKind k);
 
     /** Latency payload of site @p k. */
     Cycle extraCycles(FaultKind k) const;
-
-    /** Flip one uniformly-chosen bit of @p word (OutqCorrupt). */
-    std::uint64_t corruptWord(std::uint64_t word);
-
-    /** Account a corruption caught by an integrity check. */
-    void recordDetected(FaultKind k);
 
     const FaultCounts &counts(FaultKind k) const;
 
     /** Totals across all sites. */
     FaultCounts totals() const;
 
-    /** True iff every injected fault was masked or detected. */
-    bool
-    allAccounted() const
-    {
-        const FaultCounts t = totals();
-        return t.masked + t.detected == t.injected;
-    }
-
     /**
-     * Register injected/masked/detected per active site plus the
-     * totals under @p prefix (e.g. "faults.").
+     * Register `injected` per active site plus the total under
+     * @p prefix (e.g. "faults.").
      */
     void registerStats(stats::StatRegistry &reg,
                        const std::string &prefix) const;
@@ -151,9 +128,8 @@ class FaultInjector
   private:
     std::uint64_t seed_;
     FaultSpec spec_;
-    std::array<Rng, kNumFaultKinds> rngs_;
-    std::array<FaultCounts, kNumFaultKinds> counts_;
-    Rng corruptRng_;
+    std::array<Rng, kFaultSlots> rngs_;
+    std::array<FaultCounts, kFaultSlots> counts_;
 };
 
 } // namespace tmu::sim

@@ -10,6 +10,12 @@
  * are consumed *by index* after run() returns, so the output is
  * byte-identical for any job count. jobs <= 1 executes inline on the
  * calling thread (the legacy serial path, no threads involved).
+ *
+ * Each index runs exactly once: the simulator is deterministic, so a
+ * re-run would replay the same result. Crash safety lives with the
+ * caller (tmu_run journals each finished task through sim/journal.hpp
+ * and resumes from it), and a stop request drains the pool rather than
+ * abandoning running tasks.
  */
 
 #pragma once

@@ -1,10 +1,10 @@
 /**
  * @file
- * End-to-end fault injection: workloads run under an active fault spec
- * must degrade gracefully — timing faults masked by construction,
- * payload corruptions detected by the outQ chunk checksum and
- * recovered, the final output still verifying against the reference
- * kernel, and every injected fault accounted for.
+ * End-to-end timing-fault injection, a metamorphic check: workloads
+ * run under injected latency spikes, dropped prefetches, outQ stalls
+ * and delayed fills must still verify against the reference kernel,
+ * must actually take the faults, and must replay exactly for a given
+ * (seed, spec).
  */
 
 #include <gtest/gtest.h>
@@ -45,42 +45,19 @@ TEST(FaultInjection, TimingFaultsAreMaskedAndVerified)
     EXPECT_TRUE(res.verified);
     EXPECT_TRUE(res.sim.completed());
 
-    const FaultCounts t = faults.totals();
-    EXPECT_GT(t.injected, 0u);
-    EXPECT_EQ(t.masked, t.injected); // timing-only: masked at injection
-    EXPECT_EQ(t.detected, 0u);
-    EXPECT_TRUE(faults.allAccounted());
-}
-
-TEST(FaultInjection, CorruptionsAreDetectedAndRecovered)
-{
-    auto spec = FaultSpec::parse("outq-corrupt=0.01");
-    ASSERT_TRUE(spec.ok()) << spec.error().str();
-    FaultInjector faults(7, *spec);
-
-    const RunResult res = runSpmv(Mode::Tmu, &faults);
-    // The checksum must catch every corruption and the recovery path
-    // must restore the payload: the run still verifies.
-    EXPECT_TRUE(res.verified);
-    EXPECT_TRUE(res.sim.completed());
-
-    const FaultCounts corr = faults.counts(FaultKind::OutqCorrupt);
-    EXPECT_GT(corr.injected, 0u);
-    EXPECT_EQ(corr.detected, corr.injected);
-    EXPECT_TRUE(faults.allAccounted());
+    EXPECT_GT(faults.totals().injected, 0u);
 }
 
 TEST(FaultInjection, MixedSpecStaysAccountedAcrossSeeds)
 {
-    // Whatever the seed, every injected fault must end up masked or
-    // detected and the output must still verify. (Exact replay of the
-    // per-site decision streams is unit-tested in error_test; it can't
-    // be asserted end-to-end in-process because simulated addresses
-    // derive from host heap layout, so the *number of injection
-    // opportunities* differs even between identical back-to-back
-    // runs.)
-    auto spec =
-        FaultSpec::parse("mem-lat=0.02:150,outq-corrupt=0.005");
+    // Whatever the seed, the output must still verify under every
+    // timing site at once. The simulated address space is canonical
+    // (independent of host heap layout), so the run is also exactly
+    // reproducible in-process: the same (seed, spec) must replay the
+    // same injections and the same cycle count.
+    auto spec = FaultSpec::parse(
+        "mem-lat=0.02:150,drop-pf=0.05,outq-stall=0.02:32,"
+        "fill-delay=0.05:64");
     ASSERT_TRUE(spec.ok()) << spec.error().str();
 
     for (const std::uint64_t seed : {1234ULL, 99ULL}) {
@@ -89,7 +66,12 @@ TEST(FaultInjection, MixedSpecStaysAccountedAcrossSeeds)
         EXPECT_TRUE(r.verified) << "seed " << seed;
         EXPECT_TRUE(r.sim.completed()) << "seed " << seed;
         EXPECT_GT(f.totals().injected, 0u) << "seed " << seed;
-        EXPECT_TRUE(f.allAccounted()) << "seed " << seed;
+
+        FaultInjector again(seed, *spec);
+        const RunResult r2 = runSpmv(Mode::Tmu, &again);
+        EXPECT_EQ(again.totals().injected, f.totals().injected)
+            << "seed " << seed;
+        EXPECT_EQ(r2.sim.cycles, r.sim.cycles) << "seed " << seed;
     }
 }
 
@@ -119,25 +101,25 @@ TEST(FaultInjection, BaselineModeTakesMemFaults)
     const RunResult res = runSpmv(Mode::Baseline, &faults);
     EXPECT_TRUE(res.verified);
     EXPECT_GT(faults.totals().injected, 0u);
-    EXPECT_TRUE(faults.allAccounted());
 }
 
 TEST(FaultInjection, StatsAppearInTheSnapshot)
 {
-    auto spec = FaultSpec::parse("outq-corrupt=0.01");
+    auto spec = FaultSpec::parse("outq-stall=0.05:32");
     ASSERT_TRUE(spec.ok());
     FaultInjector faults(7, *spec);
 
     const RunResult res = runSpmv(Mode::Tmu, &faults);
-    bool sawInjected = false, sawDetected = false, sawTermination = false;
+    bool sawInjected = false, sawSite = false, sawTermination = false;
     for (const auto &e : res.stats.entries) {
         if (e.name == "faults.injected") {
             sawInjected = true;
             EXPECT_GT(e.u, 0u);
+            EXPECT_EQ(e.u, faults.totals().injected);
         }
-        if (e.name == "faults.outq-corrupt.detected") {
-            sawDetected = true;
-            EXPECT_GT(e.u, 0u);
+        if (e.name == "faults.outq-stall.injected") {
+            sawSite = true;
+            EXPECT_EQ(e.u, faults.counts(FaultKind::OutqStall).injected);
         }
         if (e.name == "sim.terminationReason") {
             sawTermination = true;
@@ -145,6 +127,6 @@ TEST(FaultInjection, StatsAppearInTheSnapshot)
         }
     }
     EXPECT_TRUE(sawInjected);
-    EXPECT_TRUE(sawDetected);
+    EXPECT_TRUE(sawSite);
     EXPECT_TRUE(sawTermination);
 }

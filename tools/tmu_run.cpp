@@ -41,12 +41,7 @@
  *                       termination cycle-budget-exceeded
  *     --mem-budget-mb N per-run host resident-set budget (0 = off);
  *                       termination mem-budget-exceeded
- *     --retries N       retry a task up to N times after a transient
- *                       failure (deadline/mem-budget trip or an
- *                       injected task-fail fault), with exponential
- *                       backoff and deterministic seeded jitter;
- *                       3 consecutive failed attempts quarantine the
- *                       task (status "quarantined")
+ *                       (a budget trip marks the task "failed")
  *     --journal P       append one JSONL outcome record per finished
  *                       task to P (crash-safe: flushed per record);
  *                       refuses an existing non-empty P unless
@@ -55,9 +50,10 @@
  *                       re-run only the rest, and keep appending to P.
  *                       The resumed sweep's --stats-json/--stats-csv
  *                       are byte-identical to an uninterrupted run
- *     --fault-spec S    enable fault injection, e.g.
- *                       "mem-lat=0.01:200,outq-corrupt=0.001"
- *                       (site task-fail drives the retry machinery)
+ *     --fault-spec S    enable timing-fault injection, e.g.
+ *                       "mem-lat=0.01:200,outq-stall=0.02:32"
+ *                       (sites mem-lat, drop-pf, outq-stall,
+ *                       fill-delay; see docs/ROBUSTNESS.md)
  *     --fault-seed N    fault injection seed             (default 1)
  *     --stats-json P    write the full stat registry as JSON to P
  *     --stats-csv P     write the full stat registry as CSV to P
@@ -88,8 +84,8 @@
  * workload does not accept, a malformed fault spec, or an exception
  * thrown by one task never kills a multi-workload sweep. Every
  * workload reports a status in the JSON export — "ok", "error"
- * (never ran), "failed", "quarantined" (circuit breaker) or
- * "interrupted" — and the exit code summarizes the sweep:
+ * (never ran), "failed" or "interrupted" — and the exit code
+ * summarizes the sweep:
  *
  *   0  every workload ran and verified
  *   2  bad arguments / cannot start (usage, bad spec, bad journal)
@@ -100,8 +96,7 @@
  *
  * Sweep structure: workloads are *prepared* serially on the main
  * thread in command-line order (input generation prints progress as it
- * goes), then *run* on a SweepRunner pool, each under a JobSupervisor
- * that enforces the retry/backoff/quarantine policy. Each task owns
+ * goes), then *run* once each on a SweepRunner pool. Each task owns
  * its Workload, System and FaultInjector, prints into a private
  * buffer, and the buffers are flushed in command-line order — so
  * stdout, JSON and CSV are byte-identical for any --jobs value.
@@ -126,8 +121,8 @@
 #include "common/tracewriter.hpp"
 #include "common/writers.hpp"
 #include "sim/fault.hpp"
+#include "sim/journal.hpp"
 #include "sim/statsdump.hpp"
-#include "sim/supervisor.hpp"
 #include "sim/sweep.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/watchdog.hpp"
@@ -223,10 +218,9 @@ struct WorkloadOutcome
     std::string name;
     std::string input;
     std::string error; //!< empty unless the workload never ran
-    /** "ok", "error", "failed", "quarantined" or "interrupted". */
+    /** "ok", "error", "failed" or "interrupted". */
     std::string status;
     bool verified = false;
-    sim::SupervisorStats sup;
     std::vector<std::pair<std::string, RunResult>> runs;
     /** Per-run interval telemetry (only with --telemetry-json/csv). */
     std::vector<
@@ -270,25 +264,10 @@ terminationFromName(const std::string &name)
     }
 }
 
-void
-writeSupervisorObject(stats::JsonWriter &jw,
-                      const sim::SupervisorStats &s)
-{
-    jw.beginObject();
-    jw.key("attempts").value(s.attempts);
-    jw.key("retries").value(s.retries);
-    jw.key("backoffCycles").value(s.backoffCycles);
-    jw.key("quarantined").value(s.quarantined);
-    jw.key("taskFail.injected").value(s.taskFailInjected);
-    jw.key("taskFail.detected").value(s.taskFailDetected);
-    jw.endObject();
-}
-
 /**
  * One JSON document covering every requested workload:
  * {"meta": {...},
  *  "workloads": {"SpMV": {"status": "ok", "verified": true,
- *                         "supervisor": {...},
  *                         "runs": {"baseline": {...}, "tmu": {...}}},
  *                "Bogus": {"status": "error", "error": "..."}}}
  */
@@ -314,8 +293,6 @@ exportJson(const stats::MetaList &meta,
         jw.key("status").value(wo.status.empty() ? "ok" : wo.status);
         jw.key("input").value(wo.input);
         jw.key("verified").value(wo.verified);
-        jw.key("supervisor");
-        writeSupervisorObject(jw, wo.sup);
         jw.key("runs").beginObject();
         for (const auto &[name, r] : wo.runs) {
             jw.key(name).beginObject();
@@ -352,23 +329,6 @@ exportCsv(const std::vector<WorkloadOutcome> &outcomes)
                         ? std::to_string(e.u)
                         : stats::JsonWriter::number(e.f);
                 csv.row({wo.name, name, e.name, value, e.desc});
-            }
-        }
-        if (wo.error.empty()) {
-            const std::pair<const char *, std::uint64_t> rows[] = {
-                {"supervisor.attempts", wo.sup.attempts},
-                {"supervisor.retries", wo.sup.retries},
-                {"supervisor.backoffCycles", wo.sup.backoffCycles},
-                {"supervisor.quarantined", wo.sup.quarantined},
-                {"supervisor.taskFail.injected",
-                 wo.sup.taskFailInjected},
-                {"supervisor.taskFail.detected",
-                 wo.sup.taskFailDetected},
-            };
-            for (const auto &[name, v] : rows) {
-                csv.row({wo.name, "supervisor", name,
-                         std::to_string(v),
-                         "task supervision counter"});
             }
         }
     }
@@ -476,7 +436,7 @@ usage(const char *argv0)
                          "[--tlb] [--shrink-caches] "
                          "[--watchdog-cycles N] [--deadline-ms N] "
                          "[--cycle-budget N] [--mem-budget-mb N] "
-                         "[--retries N] [--journal P] [--resume P] "
+                         "[--journal P] [--resume P] "
                          "[--fault-spec S] "
                          "[--fault-seed N] [--stats-json P] "
                          "[--stats-csv P] [--telemetry-json P] "
@@ -618,7 +578,6 @@ main(int argc, char **argv)
     std::uint64_t deadlineMs = 0;
     Cycle cycleBudget = 0;
     std::uint64_t memBudgetMb = 0;
-    int retries = 0;
     std::string journalPath, resumePath;
     std::string planDump, einsumExpr;
     bool dumpText = false;
@@ -693,12 +652,6 @@ main(int argc, char **argv)
         }
         if (strFlag("--mem-budget-mb", num)) {
             memBudgetMb = std::strtoull(num.c_str(), nullptr, 10);
-            continue;
-        }
-        if (strFlag("--retries", num)) {
-            retries = std::atoi(num.c_str());
-            if (retries < 0)
-                usage(argv[0]);
             continue;
         }
         if (strFlag("--telemetry-interval", num)) {
@@ -884,7 +837,6 @@ main(int argc, char **argv)
         {"deadlineMs", std::to_string(deadlineMs)},
         {"cycleBudget", std::to_string(cycleBudget)},
         {"memBudgetMb", std::to_string(memBudgetMb)},
-        {"retries", std::to_string(retries)},
         {"faultSpec", faultSpecText},
         {"faultSeed", std::to_string(faultSeed)},
     });
@@ -961,7 +913,6 @@ main(int argc, char **argv)
             wo.status = rec->status;
             wo.error = rec->error;
             wo.verified = rec->verified;
-            wo.sup = rec->sup;
             task.output = rec->output;
             for (const sim::TaskRunRecord &run : rec->runs) {
                 RunResult r;
@@ -1081,136 +1032,86 @@ main(int argc, char **argv)
         };
     }
 
-    // Phase 2 (parallel): execute the prepared tasks, each under a
-    // JobSupervisor. Each closure touches only its own SweepTask (the
-    // journal serializes internally); the shared tracer is only ever
-    // reachable when --trace-out forced jobs back to 1 above.
+    // Phase 2 (parallel): execute each prepared task once. Each
+    // closure touches only its own SweepTask (the journal serializes
+    // internally); the shared tracer is only ever reachable when
+    // --trace-out forced jobs back to 1 above.
     const sim::SweepRunner runner(jobs);
     const auto stopRequested = [] { return gStop != 0; };
+    const bool wantTelemetry =
+        !telemetryJson.empty() || !telemetryCsv.empty();
     runner.run(tasks.size(), [&](std::size_t idx) {
         SweepTask &task = tasks[idx];
         if (task.wl == nullptr)
             return; // error, interrupted-before-prepare, or replayed
         WorkloadOutcome &wo = task.outcome;
+        wo.verified = true;
+        RunConfig cfg = task.cfg;
+        int pid = task.tracePidBase;
+        bool failed = false;
 
-        // Independent, reproducible streams per workload: one for the
-        // task-fail site, one for backoff jitter — sweep composition
-        // and job count never shift the decisions.
-        sim::FaultInjector supFaults(
-            mixSeed(faultSeed, wo.name + ":supervisor"), faultSpec);
-        sim::SupervisorConfig supCfg;
-        supCfg.maxRetries = retries;
-        supCfg.seed = mixSeed(faultSeed, wo.name + ":backoff");
-        supCfg.sleepOnBackoff = true;
-        supCfg.stopRequested = stopRequested;
-        sim::JobSupervisor supervisor(
-            supCfg, wo.name, faultSpec.any() ? &supFaults : nullptr);
-
-        const bool wantTelemetry =
-            !telemetryJson.empty() || !telemetryCsv.empty();
-        const auto attempt = [&]() -> sim::AttemptStatus {
-            // A retry replays the task from scratch: fresh per-run
-            // fault streams (same seeds), cleared results — so a
-            // retried attempt is bit-identical to a first attempt.
-            wo.runs.clear();
-            wo.telemetry.clear();
-            wo.verified = true;
-            task.output.clear();
-            RunConfig cfg = task.cfg;
-            int pid = task.tracePidBase;
-            bool threw = false;
-
-            auto runOne = [&](Mode m, const char *runName) {
-                sim::FaultInjector faults(
-                    mixSeed(faultSeed, wo.name + ":" + runName),
-                    faultSpec);
-                cfg.mode = m;
-                cfg.faults = faultSpec.any() ? &faults : nullptr;
-                cfg.tracePid = pid++;
-                std::unique_ptr<sim::TelemetrySampler> sampler;
-                if (wantTelemetry) {
-                    sampler = std::make_unique<sim::TelemetrySampler>(
-                        telemetryInterval);
-                    cfg.telemetry = sampler.get();
+        auto runOne = [&](Mode m, const char *runName) {
+            // Independent, reproducible fault stream per workload and
+            // run: sweep composition and job count never shift it.
+            sim::FaultInjector faults(
+                mixSeed(faultSeed, wo.name + ":" + runName), faultSpec);
+            cfg.mode = m;
+            cfg.faults = faultSpec.any() ? &faults : nullptr;
+            cfg.tracePid = pid++;
+            std::unique_ptr<sim::TelemetrySampler> sampler;
+            if (wantTelemetry) {
+                sampler = std::make_unique<sim::TelemetrySampler>(
+                    telemetryInterval);
+                cfg.telemetry = sampler.get();
+            }
+            if (!traceOut.empty()) {
+                tracer.processName(cfg.tracePid,
+                                   wo.name + ":" + runName);
+            }
+            try {
+                RunResult r = task.wl->run(cfg);
+                if (sampler != nullptr) {
+                    wo.telemetry.emplace_back(runName,
+                                              std::move(sampler));
                 }
-                if (!traceOut.empty()) {
-                    tracer.processName(cfg.tracePid,
-                                       wo.name + ":" + runName);
-                }
-                try {
-                    RunResult r = task.wl->run(cfg);
-                    if (sampler != nullptr) {
-                        wo.telemetry.emplace_back(runName,
-                                                  std::move(sampler));
-                    }
-                    task.output +=
-                        detail::format("[%s] ", wo.name.c_str());
-                    appendResult(task.output, runName, r);
-                    if (faultSpec.any()) {
-                        const auto t = faults.totals();
-                        task.output += detail::format(
-                            "faults: %llu injected, %llu masked, "
-                            "%llu detected%s\n",
-                            static_cast<unsigned long long>(t.injected),
-                            static_cast<unsigned long long>(t.masked),
-                            static_cast<unsigned long long>(t.detected),
-                            faults.allAccounted() ? ""
-                                                  : " (UNACCOUNTED)");
-                    }
-                    wo.verified = wo.verified && r.verified;
-                    wo.runs.emplace_back(runName, std::move(r));
-                } catch (const std::exception &e) {
-                    // One crashing task must not kill the sweep: the
-                    // exception is the attempt's failure, reported
-                    // through the status taxonomy like any other.
-                    threw = true;
-                    wo.verified = false;
+                task.output += detail::format("[%s] ", wo.name.c_str());
+                appendResult(task.output, runName, r);
+                if (faultSpec.any()) {
                     task.output += detail::format(
-                        "[%s] %s run threw: %s\n", wo.name.c_str(),
-                        runName, e.what());
+                        "faults: %llu injected\n",
+                        static_cast<unsigned long long>(
+                            faults.totals().injected));
                 }
-            };
-
-            if (runBaseline)
-                runOne(Mode::Baseline, "baseline");
-            if (runTmu)
-                runOne(Mode::Tmu, "tmu");
-            if (mode == "both" && wo.runs.size() == 2 &&
-                wo.runs[1].second.sim.cycles > 0) {
+                // A budget trip, watchdog trip or cycle cap keeps its
+                // termination reason and fails the task.
+                failed = failed || !r.sim.completed();
+                wo.verified = wo.verified && r.verified;
+                wo.runs.emplace_back(runName, std::move(r));
+            } catch (const std::exception &e) {
+                // One crashing task must not kill the sweep: the
+                // exception fails this task like any other failure.
+                failed = true;
+                wo.verified = false;
                 task.output += detail::format(
-                    "speedup: %.2fx\n\n",
-                    static_cast<double>(
-                        wo.runs[0].second.sim.cycles) /
-                        static_cast<double>(
-                            wo.runs[1].second.sim.cycles));
+                    "[%s] %s run threw: %s\n", wo.name.c_str(), runName,
+                    e.what());
             }
-
-            if (threw)
-                return sim::AttemptStatus::PermanentFailure;
-            bool transient = false;
-            for (const auto &[name, r] : wo.runs) {
-                if (r.sim.completed())
-                    continue;
-                if (sim::isTransientTermination(r.sim.termination))
-                    transient = true;
-                else
-                    return sim::AttemptStatus::PermanentFailure;
-            }
-            if (transient)
-                return sim::AttemptStatus::TransientFailure;
-            return wo.verified
-                       ? sim::AttemptStatus::Ok
-                       : sim::AttemptStatus::PermanentFailure;
         };
 
-        const sim::TaskStatus st = supervisor.supervise(attempt);
-        wo.status = sim::taskStatusName(st);
-        wo.sup = supervisor.stats();
+        if (runBaseline)
+            runOne(Mode::Baseline, "baseline");
+        if (runTmu)
+            runOne(Mode::Tmu, "tmu");
+        if (mode == "both" && wo.runs.size() == 2 &&
+            wo.runs[1].second.sim.cycles > 0) {
+            task.output += detail::format(
+                "speedup: %.2fx\n\n",
+                static_cast<double>(wo.runs[0].second.sim.cycles) /
+                    static_cast<double>(wo.runs[1].second.sim.cycles));
+        }
+        wo.status = !failed && wo.verified ? "ok" : "failed";
 
-        // Interrupted attempts are deliberately not journaled: the
-        // task never reached a terminal result, so a resume re-runs
-        // it from scratch.
-        if (journal.isOpen() && st != sim::TaskStatus::Interrupted) {
+        if (journal.isOpen()) {
             sim::TaskRecord rec;
             rec.index = task.globalIndex;
             rec.task = wo.name;
@@ -1219,7 +1120,6 @@ main(int argc, char **argv)
             rec.error = wo.error;
             rec.output = task.output;
             rec.verified = wo.verified;
-            rec.sup = wo.sup;
             for (const auto &[name, r] : wo.runs) {
                 rec.runs.push_back(
                     {name, sim::terminationName(r.sim.termination),
@@ -1249,7 +1149,7 @@ main(int argc, char **argv)
         else if (st == "interrupted")
             interrupted = true;
         else
-            ++failCount; // "error", "failed", "quarantined"
+            ++failCount; // "error" or "failed"
         outcomes.push_back(std::move(task.outcome));
     }
 
