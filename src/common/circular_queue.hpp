@@ -46,10 +46,23 @@ class CircularQueue
     void
     push(T v)
     {
+        pushSlot() = std::move(v);
+    }
+
+    /**
+     * Append a slot and return it without resetting it: the slot still
+     * holds whatever element last occupied it (default-constructed on
+     * first use), so the caller overwrites every field and may reuse
+     * that element's heap storage.
+     */
+    T &
+    pushSlot()
+    {
         TMU_ASSERT(!full(), "circular queue overflow (capacity %zu)",
                    buf_.size());
-        buf_[(head_ + size_) % buf_.size()] = std::move(v);
+        T &slot = buf_[wrap(head_ + size_)];
         ++size_;
+        return slot;
     }
 
     /** Element at distance @p i from the head (i = 0 is the head). */
@@ -57,14 +70,14 @@ class CircularQueue
     peek(std::size_t i = 0) const
     {
         TMU_ASSERT(i < size_);
-        return buf_[(head_ + i) % buf_.size()];
+        return buf_[wrap(head_ + i)];
     }
 
     T &
     peek(std::size_t i = 0)
     {
         TMU_ASSERT(i < size_);
-        return buf_[(head_ + i) % buf_.size()];
+        return buf_[wrap(head_ + i)];
     }
 
     T
@@ -72,9 +85,17 @@ class CircularQueue
     {
         TMU_ASSERT(!empty());
         T v = std::move(buf_[head_]);
-        head_ = (head_ + 1) % buf_.size();
-        --size_;
+        drop();
         return v;
+    }
+
+    /** Remove the head, leaving its storage in place for pushSlot. */
+    void
+    drop()
+    {
+        TMU_ASSERT(!empty());
+        head_ = wrap(head_ + 1);
+        --size_;
     }
 
     void
@@ -85,6 +106,14 @@ class CircularQueue
     }
 
   private:
+    /** Ring index of @p i < 2 * capacity (no division: the ROB's
+     *  capacity is not a power of two). */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= buf_.size() ? i - buf_.size() : i;
+    }
+
     std::vector<T> buf_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

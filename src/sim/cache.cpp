@@ -12,7 +12,7 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
                (static_cast<std::uint64_t>(cfg.ways) * kLineBytes);
     TMU_ASSERT(numSets_ > 0);
     ways_.assign(numSets_ * static_cast<std::size_t>(cfg.ways), Way{});
-    mshrs_.reserve(static_cast<std::size_t>(cfg.mshrs) * 2);
+    mshrs_.reserve(static_cast<std::size_t>(cfg.mshrs));
 }
 
 Cache::Way *
@@ -79,12 +79,13 @@ Cache::reclaim(Cycle now)
     if (mshrs_.empty() || now < nextReclaim_)
         return;
     Cycle next = ~Cycle{0};
-    for (auto it = mshrs_.begin(); it != mshrs_.end();) {
-        if (it->second <= now) {
-            it = mshrs_.erase(it);
+    for (std::size_t i = 0; i < mshrs_.size();) {
+        if (mshrs_[i].second <= now) {
+            mshrs_[i] = mshrs_.back();
+            mshrs_.pop_back();
         } else {
-            next = std::min(next, it->second);
-            ++it;
+            next = std::min(next, mshrs_[i].second);
+            ++i;
         }
     }
     nextReclaim_ = next;

@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/statreg.hpp"
@@ -63,11 +63,11 @@ class Cache
         ++accesses_;
 
         // In-flight miss to the same line: merge (secondary miss).
-        if (const auto it = mshrs_.find(line); it != mshrs_.end()) {
+        if (const Mshr *m = findMshr(line)) {
             ++mshrHits_;
             if (write)
                 markDirty(line);
-            return {true, true, it->second};
+            return {true, true, m->second};
         }
 
         if (Way *way = findLine(line)) {
@@ -88,7 +88,7 @@ class Cache
             ++rejects_;
             return {false, false, 0};
         }
-        mshrs_.emplace(line, fill);
+        mshrs_.emplace_back(line, fill);
         nextReclaim_ = std::min(nextReclaim_, fill);
         ++misses_;
         install(line, write, evictedDirty);
@@ -161,7 +161,21 @@ class Cache
         bool dirty = false;
     };
 
+    /** An outstanding miss: (line, fill cycle). */
+    using Mshr = std::pair<Addr, Cycle>;
+
     Way *findLine(Addr line);
+
+    const Mshr *
+    findMshr(Addr line) const
+    {
+        for (const Mshr &m : mshrs_) {
+            if (m.first == line)
+                return &m;
+        }
+        return nullptr;
+    }
+
     void markDirty(Addr line);
     void install(Addr line, bool dirty, Addr *evictedDirty);
     void reclaim(Cycle now);
@@ -179,7 +193,12 @@ class Cache
     CacheConfig cfg_;
     std::size_t numSets_ = 1;
     std::vector<Way> ways_; //!< numSets x ways, row-major
-    std::unordered_map<Addr, Cycle> mshrs_;
+    /**
+     * Outstanding misses, unordered and keyed by line (at most
+     * cfg.mshrs entries, so a linear find beats hashing). Order never
+     * matters: lines are unique and reclaim only takes a minimum.
+     */
+    std::vector<Mshr> mshrs_;
     Cycle nextReclaim_ = ~Cycle{0};
     std::uint64_t useClock_ = 0;
     std::uint64_t accesses_ = 0;

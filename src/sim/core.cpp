@@ -129,7 +129,7 @@ Core::retire(Cycle now, int &retired)
             --loadsInFlight_;
         if (head.op.kind == OpKind::Store)
             --storesInFlight_;
-        rob_.pop();
+        rob_.drop();
         ++headSeq_;
         ++retired;
         ++stats_.retiredOps;
@@ -141,30 +141,26 @@ Core::issue(Cycle now)
 {
     int issued = 0;
     int loadsIssued = 0, storesIssued = 0, fpIssued = 0;
-    bool allPriorIssued = true;
 
+    // Entries before issueSeq_ have all issued, and once every
+    // un-issued entry has been seen the rest of the window holds none:
+    // both skips leave the scan's outcome unchanged.
     const std::size_t window = std::min(rob_.size(), kIssueWindow);
-    for (std::size_t i = 0; i < window && issued < cfg_.issueWidth; ++i) {
+    int unseen = dispatchedCount_;
+    for (auto i = static_cast<std::size_t>(issueSeq_ - headSeq_);
+         i < window && unseen > 0 && issued < cfg_.issueWidth; ++i) {
         RobEntry &e = rob_.peek(i);
-        if (e.state != OpState::Dispatched) {
+        if (e.state != OpState::Dispatched)
             continue;
-        }
+        --unseen;
 
         switch (e.op.kind) {
           case OpKind::Load: {
-            if (loadsIssued >= cfg_.loadIssuePerCycle) {
-                allPriorIssued = false;
+            if (loadsIssued >= cfg_.loadIssuePerCycle || !depReady(e, now))
                 continue;
-            }
-            if (!depReady(e, now)) {
-                allPriorIssued = false;
-                continue;
-            }
             MemAccess res = mem_.coreAccess(id_, e.op.addr, false, now);
-            if (!res.accepted) {
-                allPriorIssued = false;
+            if (!res.accepted)
                 continue; // L1 MSHRs full: retry next cycle
-            }
             --dispatchedCount_;
             Cycle complete = res.complete;
             int level = res.levelHit;
@@ -189,16 +185,12 @@ Core::issue(Cycle now)
             break;
           }
           case OpKind::Store: {
-            if (storesIssued >= cfg_.storeIssuePerCycle) {
-                allPriorIssued = false;
+            if (storesIssued >= cfg_.storeIssuePerCycle)
                 continue;
-            }
             const MemAccess res =
                 mem_.coreAccess(id_, e.op.addr, true, now);
-            if (!res.accepted) {
-                allPriorIssued = false;
+            if (!res.accepted)
                 continue;
-            }
             // Stores retire via the store buffer: completion is fast.
             --dispatchedCount_;
             e.state = OpState::Complete;
@@ -210,10 +202,8 @@ Core::issue(Cycle now)
             break;
           }
           case OpKind::Flop: {
-            if (fpIssued >= cfg_.fpIssuePerCycle) {
-                allPriorIssued = false;
+            if (fpIssued >= cfg_.fpIssuePerCycle)
                 continue;
-            }
             --dispatchedCount_;
             e.state = OpState::Complete;
             e.issued = now;
@@ -249,10 +239,8 @@ Core::issue(Cycle now)
                 }
                 depComplete = std::max(depComplete, p.complete);
             }
-            if (!ready) {
-                allPriorIssued = false;
+            if (!ready)
                 continue;
-            }
             const Cycle resolve = std::max(
                 {now + 1, depComplete + 1,
                  e.issued /*dispatchedAt*/ + cfg_.branchResolveMin});
@@ -274,7 +262,10 @@ Core::issue(Cycle now)
             break;
         }
     }
-    (void)allPriorIssued;
+    while (issueSeq_ < nextSeq_ &&
+           rob_.peek(static_cast<std::size_t>(issueSeq_ - headSeq_))
+                   .state != OpState::Dispatched)
+        ++issueSeq_;
 }
 
 void

@@ -190,6 +190,9 @@ class Core : public Tickable
     CircularQueue<RobEntry> rob_;
     std::uint64_t nextSeq_ = 0;   //!< seq of the next dispatched op
     std::uint64_t headSeq_ = 0;   //!< seq of the ROB head
+    /** seq of the oldest un-issued entry (nextSeq_ if none): entries
+     *  only move forward in state, so issue starts its scan here. */
+    std::uint64_t issueSeq_ = 0;
     int loadsInFlight_ = 0;       //!< load-queue occupancy
     int storesInFlight_ = 0;      //!< store-queue occupancy
     Cycle fetchBlockedUntil_ = 0; //!< mispredict redirect deadline

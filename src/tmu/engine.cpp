@@ -40,14 +40,28 @@ TmuEngine::TmuEngine(int coreId, const EngineConfig &cfg,
 
     for (int l = 0; l < prog_.numLayers(); ++l) {
         const LayerDesc &layer = prog_.layer(l);
-        tgs_[static_cast<size_t>(l)].layer = l;
-        tgs_[static_cast<size_t>(l)].events.reset(cfg.eventQueueDepth);
+        TgState &tg = tgs_[static_cast<size_t>(l)];
+        tg.layer = l;
+        tg.events.reset(cfg.eventQueueDepth);
+        for (const CallbackDesc &cb : layer.callbacks)
+            tg.iteRecords |= cb.event == CallbackEvent::GroupIte;
         for (int r = 0; r < layer.lanes(); ++r) {
             TuState tu;
             tu.ref = {l, r};
+            tu.desc = &prog_.tu(tu.ref);
             tu.q.reset(static_cast<size_t>(plan_.depth(l)));
-            const TuDesc &desc = prog_.tu(tu.ref);
+            const TuDesc &desc = *tu.desc;
             for (size_t s = 0; s < desc.streams.size(); ++s) {
+                // Same-TU index sources are read through tu.desc
+                // without a per-use bounds check.
+                for (const StreamRef &p : {desc.streams[s].parent,
+                                           desc.streams[s].parent2}) {
+                    TMU_ASSERT(!p.valid() || !(p.tu == tu.ref) ||
+                                   p.slot < static_cast<int>(
+                                                desc.streams.size()),
+                               "TU (%d,%d) stream %zu: no source slot %d",
+                               l, r, s, p.slot);
+                }
                 if (desc.streams[s].kind == StreamKind::Mem) {
                     tu.memOrdinalOfSlot.push_back(
                         static_cast<int>(tu.slotOfMemOrdinal.size()));
@@ -104,7 +118,8 @@ TmuEngine::parentReady(const TuState &tu, const TimedElem &e,
     if (!parent.valid() || !(parent.tu == tu.ref))
         return 0; // leftward/absent: ready when the instance started
 
-    const StreamDesc &pd = prog_.stream(parent);
+    const StreamDesc &pd =
+        tu.desc->streams[static_cast<size_t>(parent.slot)];
     if (pd.kind == StreamKind::Mem) {
         const int ord = tu.memOrdinalOfSlot[static_cast<size_t>(
             parent.slot)];
@@ -118,7 +133,7 @@ Cycle
 TmuEngine::slotDepReady(const TuState &tu, const TimedElem &e,
                         int slot) const
 {
-    const StreamDesc &sd = prog_.stream({tu.ref, slot});
+    const StreamDesc &sd = tu.desc->streams[static_cast<size_t>(slot)];
     switch (sd.kind) {
       case StreamKind::Ite:
       case StreamKind::Fwd:
@@ -153,7 +168,7 @@ TmuEngine::elemReady(const TuState &tu, const TimedElem &e,
 Index
 TmuEngine::mergeKeyOf(const TuState &tu, const TimedElem &e) const
 {
-    const TuDesc &desc = prog_.tu(tu.ref);
+    const TuDesc &desc = *tu.desc;
     const int slot = desc.mergeKey.valid() ? desc.mergeKey.slot : 0;
     return static_cast<Index>(e.vals[static_cast<size_t>(slot)]);
 }
@@ -161,11 +176,14 @@ TmuEngine::mergeKeyOf(const TuState &tu, const TimedElem &e) const
 void
 TmuEngine::pushElement(TuState &tu, Cycle now)
 {
-    const TuDesc &desc = prog_.tu(tu.ref);
-    TimedElem e;
+    const TuDesc &desc = *tu.desc;
+    // Built in its queue slot, reusing the vectors of the element that
+    // last occupied it.
+    TimedElem &e = tu.q.pushSlot();
+    e.end = false;
     e.pushed = now;
-    e.vals.resize(desc.streams.size(), 0);
-    e.mem.resize(tu.slotOfMemOrdinal.size());
+    e.vals.assign(desc.streams.size(), 0);
+    e.mem.assign(tu.slotOfMemOrdinal.size(), MemSlotState{});
 
     for (size_t s = 0; s < desc.streams.size(); ++s) {
         const StreamDesc &sd = desc.streams[s];
@@ -216,7 +234,6 @@ TmuEngine::pushElement(TuState &tu, Cycle now)
             break;
         }
     }
-    tu.q.push(std::move(e));
     ++stats_.elementsPushed;
     tu.cur += desc.stride;
 }
@@ -232,7 +249,7 @@ TmuEngine::tickTus(Cycle now)
 {
     for (int l = 0; l < prog_.numLayers(); ++l) {
         for (TuState &tu : tus_[static_cast<size_t>(l)]) {
-            const TuDesc &desc = prog_.tu(tu.ref);
+            const TuDesc &desc = *tu.desc;
             switch (tu.phase) {
               case TuState::Phase::WaitStep: {
                 if (l == 0) {
@@ -316,10 +333,11 @@ TmuEngine::tickTus(Cycle now)
               case TuState::Phase::PushEnd: {
                 if (tu.q.full())
                     break;
-                TimedElem end;
+                TimedElem &end = tu.q.pushSlot();
                 end.end = true;
                 end.pushed = now;
-                tu.q.push(std::move(end));
+                end.vals.clear();
+                end.mem.clear();
                 tu.phase = TuState::Phase::WaitStep;
                 changed_ = true;
                 break;
@@ -379,7 +397,8 @@ TmuEngine::tickArbiter(Cycle now)
                     // dependency of the oldest unrequested element.
                     if (slotDepReady(tu, e, slot) > now)
                         break;
-                    const StreamDesc &sd = prog_.stream({tu.ref, slot});
+                    const StreamDesc &sd =
+                        tu.desc->streams[static_cast<size_t>(slot)];
                     auto x = static_cast<Index>(
                         resolveValue(tu, sd.parent, e.vals));
                     if (sd.parent2.valid())
@@ -459,20 +478,27 @@ TmuEngine::popTuHead(int layer, int lane)
 {
     TuState &tu = tus_[static_cast<size_t>(layer)][static_cast<size_t>(
         lane)];
-    tu.q.pop();
+    tu.q.drop();
     for (auto &sp : tu.slotPtr) {
         if (sp.elem > 0)
             --sp.elem;
     }
 }
 
-std::vector<OutqRecord>
-TmuEngine::makeRecords(int layer, CallbackEvent ev, LaneMask mask,
-                       bool withOperands)
+void
+TmuEngine::pushToken(TgState &tg, CallbackEvent ev, bool descend,
+                     LaneMask mask)
 {
+    EventToken &tok = tg.events.pushSlot();
+    tok.kind = ev;
+    tok.descend = descend;
+    // Only a GITE step has lane heads to marshal; GBEG/GEND records
+    // carry just the predicate.
+    const bool withOperands = ev == CallbackEvent::GroupIte;
+    const int layer = tg.layer;
     const LayerDesc &desc = prog_.layer(layer);
     auto &layerTus = tus_[static_cast<size_t>(layer)];
-    std::vector<OutqRecord> recs;
+    tok.records.clear();
     for (const CallbackDesc &cb : desc.callbacks) {
         if (cb.event != ev)
             continue;
@@ -498,9 +524,8 @@ TmuEngine::makeRecords(int layer, CallbackEvent ev, LaneMask mask,
             }
             rec.operands.push_back(std::move(vals));
         }
-        recs.push_back(std::move(rec));
+        tok.records.push_back(std::move(rec));
     }
-    return recs;
 }
 
 TmuEngine::IterOutcome
@@ -599,19 +624,16 @@ TmuEngine::tgIterateOnce(TgState &tg, Cycle now)
     const bool descend = !down.empty();
 
     if (emit) {
-        std::vector<OutqRecord> recs =
-            makeRecords(l, CallbackEvent::GroupIte, predicate, true);
-        const bool needToken = descend || !recs.empty();
+        // The records are built only once the token can be queued: a
+        // blocked attempt (the common case under backpressure) must
+        // not pay for them.
+        const bool needToken = descend || tg.iteRecords;
         if (needToken && tg.events.full())
             return IterOutcome::Blocked; // backpressure
         if (descend && tg.steps.size() >= cfg_.stepQueueDepth)
             return IterOutcome::Blocked; // backpressure
         if (needToken) {
-            EventToken tok;
-            tok.kind = CallbackEvent::GroupIte;
-            tok.descend = descend;
-            tok.records = std::move(recs);
-            tg.events.push(std::move(tok));
+            pushToken(tg, CallbackEvent::GroupIte, descend, predicate);
         }
         if (descend) {
             StepRecord step;
@@ -674,11 +696,7 @@ TmuEngine::tickTgs(Cycle now)
           case TgState::Phase::Begin: {
             if (tg.events.full())
                 break;
-            EventToken tok;
-            tok.kind = CallbackEvent::GroupBegin;
-            tok.records = makeRecords(l, CallbackEvent::GroupBegin,
-                                      tg.active, false);
-            tg.events.push(std::move(tok));
+            pushToken(tg, CallbackEvent::GroupBegin, false, tg.active);
             tg.phase = TgState::Phase::Iterate;
             changed_ = true;
             break;
@@ -728,11 +746,7 @@ TmuEngine::tickTgs(Cycle now)
           case TgState::Phase::Finish: {
             if (tg.events.full())
                 break;
-            EventToken tok;
-            tok.kind = CallbackEvent::GroupEnd;
-            tok.records = makeRecords(l, CallbackEvent::GroupEnd,
-                                      tg.active, false);
-            tg.events.push(std::move(tok));
+            pushToken(tg, CallbackEvent::GroupEnd, false, tg.active);
             ++tg.parentCursor;
             tg.phase = TgState::Phase::WaitParent;
             changed_ = true;
@@ -861,7 +875,7 @@ TmuEngine::tickSerializer(Cycle now)
             if (stack_.empty())
                 serializerDone_ = true;
         }
-        tg.events.pop();
+        tg.events.drop();
         ++processed;
         changed_ = true;
     }

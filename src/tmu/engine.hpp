@@ -120,6 +120,9 @@ class TmuEngine : public sim::Tickable
   public:
     TmuEngine(int coreId, const EngineConfig &cfg,
               sim::MemorySystem &mem, const TmuProgram &program);
+    /** Per-TU state points into prog_: the engine never moves. */
+    TmuEngine(const TmuEngine &) = delete;
+    TmuEngine &operator=(const TmuEngine &) = delete;
 
     bool tick(Cycle now) override;
 
@@ -269,6 +272,7 @@ class TmuEngine : public sim::Tickable
     struct TuState
     {
         TuRef ref;
+        const TuDesc *desc = nullptr; //!< prog_'s TU, resolved once
         enum class Phase { WaitStep, Iter, PushEnd, Done } phase =
             Phase::WaitStep;
         Index cur = 0;
@@ -298,6 +302,9 @@ class TmuEngine : public sim::Tickable
         std::uint64_t parentCursor = 0;
         LaneMask active;
         LaneMask flushRemaining; //!< Flush: lanes whose END is pending
+        /** The layer registers a GroupIte callback (so every emitting
+         *  step needs a serializer token). */
+        bool iteRecords = false;
         std::deque<StepRecord> steps; //!< published for layer+1
         std::uint64_t stepsBase = 0;  //!< seq of steps.front()
         std::uint64_t stepsProduced = 0;
@@ -328,9 +335,9 @@ class TmuEngine : public sim::Tickable
     enum class IterOutcome { Blocked, Skipped, Emitted, Transitioned };
     IterOutcome tgIterateOnce(TgState &tg, Cycle now);
     void popTuHead(int layer, int lane);
-    std::vector<OutqRecord> makeRecords(int layer, CallbackEvent ev,
-                                        LaneMask mask,
-                                        bool withOperands);
+    /** Queue an event token, building its records in the slot. */
+    void pushToken(TgState &tg, CallbackEvent ev, bool descend,
+                   LaneMask mask);
 
     LaneMask activeForStep(int layer, LaneMask parentMask) const;
     std::uint64_t resolveValue(const TuState &tu, const StreamRef &ref,

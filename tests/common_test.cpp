@@ -220,6 +220,57 @@ TEST(CircularQueue, SpaceTracksSize)
     EXPECT_EQ(q.space(), 5u);
 }
 
+TEST(CircularQueue, PeekEveryOffsetAcrossWraps)
+{
+    // 224 is the ROB capacity: not a power of two, so the wrap must
+    // be exact at every offset, not just at the head.
+    for (const std::size_t cap : {std::size_t{3}, std::size_t{224}}) {
+        CircularQueue<std::uint64_t> q(cap);
+        std::uint64_t next = 0, head = 0;
+        for (std::size_t round = 0; round < 4 * cap + 7; ++round) {
+            while (!q.full())
+                q.push(next++);
+            for (std::size_t i = 0; i < q.size(); ++i)
+                ASSERT_EQ(q.peek(i), head + i) << "cap " << cap;
+            // Drain a varying amount so the head visits every index.
+            const std::size_t n = 1 + round % cap;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(q.pop(), head++) << "cap " << cap;
+            for (std::size_t i = 0; i < q.size(); ++i)
+                ASSERT_EQ(q.peek(i), head + i) << "cap " << cap;
+        }
+    }
+}
+
+TEST(CircularQueue, SlotApiReusesStorageInFifoOrder)
+{
+    CircularQueue<std::vector<int>> q(3);
+    for (int lap = 0; lap < 4; ++lap) {
+        for (int i = 0; i < 3; ++i) {
+            std::vector<int> &slot = q.pushSlot();
+            // A slot comes back holding its last element (nothing on
+            // the first lap), so callers overwrite it in place.
+            EXPECT_EQ(slot.size(), lap == 0 ? 0u : 8u);
+            slot.assign(8, lap * 10 + i);
+        }
+        EXPECT_TRUE(q.full());
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_EQ(q.peek(0).front(), lap * 10 + i);
+            q.drop();
+        }
+        EXPECT_TRUE(q.empty());
+    }
+    // Mixed push/pushSlot/drop wrap in order.
+    q.push({1});
+    q.pushSlot().assign(1, 2);
+    q.drop();
+    q.push({3});
+    q.pushSlot().assign(1, 4);
+    EXPECT_EQ(q.pop().front(), 2);
+    EXPECT_EQ(q.peek(0).front(), 3);
+    EXPECT_EQ(q.peek(1).front(), 4);
+}
+
 Generator<int>
 iota(int n)
 {

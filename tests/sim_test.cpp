@@ -76,6 +76,41 @@ TEST(Cache, MshrLimitRejects)
     EXPECT_TRUE(c.access(2 * 64, 200, false, miss).accepted);
 }
 
+TEST(Cache, MshrFileFreesAtFillCycleAndMergesSecondaries)
+{
+    Cache c("t", smallCache()); // 2 MSHRs, latency 2
+    auto miss = [](Cycle t) { return t + 100; };
+    const Cycle fill0 = c.access(0 * 64, 10, false, miss).complete;
+    const Cycle fill1 = c.access(1 * 64, 20, false, miss).complete;
+    EXPECT_EQ(fill0, 112u);
+    EXPECT_EQ(fill1, 122u);
+
+    // The (mshrs+1)-th distinct miss bounces and is still counted.
+    EXPECT_FALSE(c.access(2 * 64, 30, false, miss).accepted);
+    EXPECT_EQ(c.rejects(), 1u);
+    EXPECT_EQ(c.accesses(), 3u);
+
+    // A secondary miss returns its primary's fill cycle.
+    const CacheAccess sec = c.access(1 * 64, 40, false, miss);
+    EXPECT_TRUE(sec.accepted && sec.hit);
+    EXPECT_EQ(sec.complete, fill1);
+
+    // Line 0's entry is held through fill0 - 1 and frees at fill0.
+    EXPECT_FALSE(c.access(2 * 64, fill0 - 1, false, miss).accepted);
+    EXPECT_EQ(c.rejects(), 2u);
+    const CacheAccess third = c.access(2 * 64, fill0, false, miss);
+    EXPECT_TRUE(third.accepted);
+    EXPECT_FALSE(third.hit);
+    EXPECT_EQ(c.inflight(), 2);
+    EXPECT_EQ(c.accesses(), 6u);
+
+    // Freeing reordered the file; merges still find each line's fill.
+    EXPECT_EQ(c.access(1 * 64, fill0 + 1, false, miss).complete, fill1);
+    EXPECT_EQ(c.access(2 * 64, fill0 + 1, false, miss).complete,
+              third.complete);
+    EXPECT_EQ(c.freeMshrs(fill1), 1);
+}
+
 TEST(Cache, LruEviction)
 {
     CacheConfig cfg = smallCache();
@@ -187,6 +222,19 @@ TEST(Stride, DetectsUnitLineStride)
     EXPECT_GT(out.back(), 5u * 64);
 }
 
+TEST(Stride, CountsOnlyCandidatesItPushes)
+{
+    // A confident unit-line stream running into a page edge: targets
+    // on the next page are dropped and must not count.
+    StridePrefetcher pf(2);
+    PrefetchList out;
+    for (Addr line = 60; line < 64; ++line)
+        pf.observe(4096 + line * 64, out);
+    const std::vector<Addr> want = {4096 + 63 * 64};
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(pf.candidates(), out.size());
+}
+
 TEST(Stride, NoPrefetchOnRandom)
 {
     StridePrefetcher pf(2);
@@ -241,6 +289,28 @@ TEST(Imp, TrainsAndPrefetchesIndirect)
         }
     }
     EXPECT_TRUE(imp.trained());
+}
+
+TEST(Imp, CountsOnlyCandidatesItPushes)
+{
+    // Trained on consumer = 8 * (idx - 500); the look-ahead index 0
+    // maps to a negative target, which is dropped and must not count.
+    std::vector<Index> idx = {600, 601, 602, 603, 604, 605, 0, 0, 610};
+    ImpPrefetcher::Config cfg;
+    cfg.distance = 4;
+    ImpPrefetcher imp(cfg);
+    imp.addIndexRegion(reinterpret_cast<Addr>(idx.data()),
+                       idx.size() * sizeof(Index));
+    PrefetchList out;
+    for (size_t i = 0; i < 5; ++i) {
+        imp.observe(reinterpret_cast<Addr>(&idx[i]),
+                    static_cast<Addr>(8 * (idx[i] - 500)), out);
+    }
+    ASSERT_TRUE(imp.trained());
+    // Trained at i = 2; i = 2, 3 look ahead to index 0, i = 4 to 610.
+    const std::vector<Addr> want = {lineAddr(8 * (610 - 500))};
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(imp.candidates(), out.size());
 }
 
 TEST(Imp, IgnoresUnregisteredProducers)

@@ -10,11 +10,14 @@
 
 #include "common/rng.hpp"
 #include "kernels/spmv.hpp"
+#include "plan/frontend/frontend.hpp"
+#include "plan/lower.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/generate.hpp"
 #include "tmu/engine.hpp"
 #include "tmu/functional.hpp"
 #include "tmu/outq.hpp"
+#include "workloads/registry.hpp"
 
 namespace tmu::engine {
 namespace {
@@ -558,6 +561,120 @@ TEST(Engine, DebugStateDescribesUnits)
     EXPECT_NE(s.find("TG0"), std::string::npos);
     EXPECT_NE(s.find("TU(1,1)"), std::string::npos);
     EXPECT_NE(s.find("stack=["), std::string::npos);
+}
+
+/** Largest record @p p can emit: every lane active in every operand. */
+std::size_t
+maxRecordBytes(const TmuProgram &p)
+{
+    std::size_t most = 0;
+    for (int l = 0; l < p.numLayers(); ++l) {
+        const LayerDesc &layer = p.layer(l);
+        for (const CallbackDesc &cb : layer.callbacks) {
+            std::size_t n = 8;
+            for (const int o : cb.operands) {
+                n += o == kMskOperand
+                         ? 8
+                         : 8 * layer.groupStreams[static_cast<size_t>(o)]
+                                   .perLane.size();
+            }
+            most = std::max(most, n);
+        }
+    }
+    return most;
+}
+
+/**
+ * One-slot event and step queues and one-record outQ chunks: the TGs
+ * find their queues full on nearly every cycle, so the blocked path
+ * of a co-iteration step runs far more often than the emitting one.
+ */
+EngineConfig
+starvedConfig(const TmuProgram &p)
+{
+    EngineConfig cfg;
+    cfg.eventQueueDepth = 1;
+    cfg.stepQueueDepth = 1;
+    cfg.chunkBytes = maxRecordBytes(p);
+    return cfg;
+}
+
+/** SpMSpM (Gustavson, 8 j-lanes) and TC as production lowers them. */
+std::vector<std::pair<std::string, TmuProgram>>
+productionPrograms(const CsrMatrix &a, const CsrMatrix &at,
+                   const CsrMatrix &lower)
+{
+    plan::frontend::EinsumBindings mm;
+    mm.csr["A"] = &a;
+    mm.csr["B"] = &at;
+    plan::frontend::CompileOptions mmo;
+    mmo.lanes = 8;
+    mmo.end = a.rows();
+    plan::frontend::EinsumBindings tc;
+    tc.csr["L"] = &lower;
+    plan::frontend::CompileOptions tco;
+    tco.end = lower.rows();
+    return {
+        {"SpMSpM",
+         plan::lowerProgram(
+             plan::frontend::compileEinsum(
+                 "Z(i,j; csr) = A(i,k; csr) * B(k,j; csr)", mm, mmo)
+                 .valueOrFatal())},
+        {"TC", plan::lowerProgram(
+                   plan::frontend::compileEinsum(
+                       "c = L(i,k; csr) * L(k,j; csr) * L(i,j; csr)", tc,
+                       tco)
+                       .valueOrFatal())}};
+}
+
+TEST(EngineBackpressure, StarvedQueuesKeepTheRecordStream)
+{
+    const CsrMatrix a = randomMatrix(24, 24, 4, 3);
+    const CsrMatrix at = tensor::transposeCsr(a);
+    const CsrMatrix lower =
+        tensor::lowerTriangle(tensor::rmatGraph(5, 4, 7));
+    for (const auto &[name, p] : productionPrograms(a, at, lower)) {
+        SCOPED_TRACE(name);
+        const auto want = interpretToVector(p);
+        ASSERT_FALSE(want.empty());
+        SystemConfig sys = SystemConfig::neoverseN1();
+        sys.cores = 1;
+        sim::MemorySystem mem(sys);
+        TmuEngine engine(0, starvedConfig(p), mem, p);
+        expectSameRecords(drainEngine(engine), want);
+        EXPECT_EQ(engine.stats().recordsEmitted, want.size());
+    }
+}
+
+TEST(EngineBackpressure, StarvedQueuesEventMatchesDense)
+{
+    // The record chunk size depends only on the program's shape (lanes,
+    // operands), which the workloads share with these programs.
+    const CsrMatrix a = randomMatrix(24, 24, 4, 3);
+    const CsrMatrix at = tensor::transposeCsr(a);
+    const CsrMatrix lower =
+        tensor::lowerTriangle(tensor::rmatGraph(5, 4, 7));
+    for (const auto &[name, p] : productionPrograms(a, at, lower)) {
+        SCOPED_TRACE(name);
+        auto wl = workloads::makeWorkload(name);
+        wl->prepare(wl->inputs().front(), /*scale=*/1024);
+        workloads::RunConfig cfg;
+        cfg.system.cores = 2;
+        cfg.mode = workloads::Mode::Tmu;
+        cfg.tmu = starvedConfig(p);
+        cfg.system.schedDense = false;
+        const auto event = wl->run(cfg);
+        cfg.system.schedDense = true;
+        const auto dense = wl->run(cfg);
+        EXPECT_TRUE(event.verified);
+        EXPECT_TRUE(dense.verified);
+        EXPECT_EQ(event.sim.cycles, dense.sim.cycles);
+
+        // The starved queues must actually bind: the default config
+        // finishes sooner.
+        cfg.tmu = EngineConfig{};
+        EXPECT_LT(wl->run(cfg).sim.cycles, event.sim.cycles);
+    }
 }
 
 TEST(Engine, RejectsNonDenseOuterLayer)
